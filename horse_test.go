@@ -1,11 +1,14 @@
 package horse
 
 import (
+	"fmt"
+	"net/netip"
 	"testing"
 	"time"
 
 	"repro/internal/fluid"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/traffic"
 )
 
@@ -103,6 +106,41 @@ func TestSDNProactiveECMP(t *testing.T) {
 	}
 	if active != 16 {
 		t.Errorf("active flows = %d, want 16", active)
+	}
+}
+
+// TestSDNInstallIsLossless boots proactive ECMP on two switches with 300
+// hosts each, so each switch receives 600 back-to-back FLOW_MODs: more
+// than the 512 messages the OpenFlow send queue once held before it
+// silently dropped the rest. Every rule must be applied.
+func TestSDNInstallIsLossless(t *testing.T) {
+	const perSwitch = 300
+	g := topo.New()
+	s0, s1 := g.AddSwitch("s0"), g.AddSwitch("s1")
+	g.Connect(s0, s1, Gbps, 0)
+	for i, sw := range []*topo.Node{s0, s1} {
+		for j := 0; j < perSwitch; j++ {
+			h := g.AddHost(fmt.Sprintf("h%d-%d", i, j))
+			h.IP = netip.AddrFrom4([4]byte{10, byte(i), byte(j / 250), byte(j%250 + 2)})
+			h.Prefix = netip.PrefixFrom(h.IP, 32)
+			g.Connect(sw, h, Gbps, 0)
+		}
+	}
+	exp := NewExperiment(testConfig())
+	exp.SetTopology(g)
+	exp.UseSDN(AppECMP5())
+	if err := exp.AddFlow("h0-0", "h1-0", 100*Mbps, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := exp.Run(Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(2 * 2 * perSwitch); res.FlowModsApplied != want {
+		t.Errorf("flow mods applied = %d, want switches x hosts = %d", res.FlowModsApplied, want)
+	}
+	if got := res.SteadyAggregateRx(); got < 90*Mbps {
+		t.Errorf("steady aggregate rx = %v, want the flow's 100Mbps", got)
 	}
 }
 

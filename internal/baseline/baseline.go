@@ -159,22 +159,10 @@ func (e *Emulator) rebuildTables() {
 		if n.Kind == topo.Host {
 			continue
 		}
+		hops := g.FirstHops(n.ID)
 		table := make(map[core.NodeID][]core.PortID, len(hosts))
 		for _, h := range hosts {
-			paths := g.AllShortestPaths(n.ID, h.ID)
-			seen := map[core.PortID]bool{}
-			var ports []core.PortID
-			for _, p := range paths {
-				if len(p) == 0 {
-					continue
-				}
-				l := g.Link(p[0])
-				if l != nil && !seen[l.FromPort] {
-					seen[l.FromPort] = true
-					ports = append(ports, l.FromPort)
-				}
-			}
-			if len(ports) > 0 {
+			if ports := hops[h.ID]; len(ports) > 0 {
 				table[h.ID] = ports
 			}
 		}

@@ -445,20 +445,9 @@ func TestPathInvariants(t *testing.T) {
 	n := New(g)
 	// Destination-routing rules on all switches (the ECMP5 app's shape).
 	for _, sw := range g.Switches() {
+		hops := g.FirstHops(sw.ID)
 		for _, h := range g.Hosts() {
-			paths := g.AllShortestPaths(sw.ID, h.ID)
-			seen := map[core.PortID]bool{}
-			var ports []core.PortID
-			for _, p := range paths {
-				if len(p) == 0 {
-					continue
-				}
-				l := g.Link(p[0])
-				if !seen[l.FromPort] {
-					seen[l.FromPort] = true
-					ports = append(ports, l.FromPort)
-				}
-			}
+			ports := hops[h.ID]
 			if len(ports) == 0 {
 				continue
 			}

@@ -9,12 +9,15 @@ import (
 // Conn frames OpenFlow messages over a duplex byte stream. Writes are
 // queued to a dedicated writer goroutine so protocol handlers never block
 // on the transport (unbuffered in-memory pipes would otherwise deadlock
-// two endpoints writing simultaneously).
+// two endpoints writing simultaneously). The queue is an unbounded FIFO:
+// a controller may burst one FLOW_MOD per destination host at a switch
+// that is not reading yet, and every one of them must arrive.
 type Conn struct {
 	rw io.ReadWriteCloser
 
 	mu     sync.Mutex
-	out    chan []byte
+	cond   *sync.Cond
+	queue  [][]byte
 	closed bool
 	done   chan struct{}
 }
@@ -23,36 +26,49 @@ type Conn struct {
 func NewConn(rw io.ReadWriteCloser) *Conn {
 	c := &Conn{
 		rw:   rw,
-		out:  make(chan []byte, 512),
 		done: make(chan struct{}),
 	}
+	c.cond = sync.NewCond(&c.mu)
 	go c.writeLoop()
 	return c
 }
 
+// writeLoop writes queued messages in FIFO order until Close, swapping
+// the queue for its spare batch so steady-state sends do not allocate.
 func (c *Conn) writeLoop() {
 	defer close(c.done)
-	for b := range c.out {
-		if _, err := c.rw.Write(b); err != nil {
-			// The reader observes the broken transport; keep draining
-			// so senders never block.
-			continue
+	var batch [][]byte
+	for {
+		c.mu.Lock()
+		for len(c.queue) == 0 && !c.closed {
+			c.cond.Wait()
+		}
+		if len(c.queue) == 0 {
+			c.mu.Unlock()
+			return
+		}
+		batch, c.queue = c.queue, batch[:0]
+		c.mu.Unlock()
+		for i, b := range batch {
+			// A write error means the transport broke; the reader
+			// observes it, and the queue keeps draining so Close returns.
+			_, _ = c.rw.Write(b)
+			batch[i] = nil
 		}
 	}
 }
 
-// Send queues one already-encoded message. Messages sent after Close (or
-// into a full queue on a dead transport) are dropped.
+// Send queues one already-encoded message. It never blocks and never
+// drops: messages are written in Send order by the writer goroutine.
+// Messages sent after Close are discarded.
 func (c *Conn) Send(msg []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return
 	}
-	select {
-	case c.out <- msg:
-	default:
-	}
+	c.queue = append(c.queue, msg)
+	c.cond.Signal()
 }
 
 // Recv blocks until one complete message arrives and returns its raw
@@ -74,13 +90,13 @@ func (c *Conn) Recv() ([]byte, error) {
 	return msg, nil
 }
 
-// Close shuts the connection down; safe to call multiple times.
+// Close shuts the connection down and waits for the writer goroutine to
+// drain the queue and exit; messages the transport has not taken by then
+// are discarded. Safe to call multiple times.
 func (c *Conn) Close() error {
 	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
-		close(c.out)
-	}
+	c.closed = true
+	c.cond.Signal()
 	c.mu.Unlock()
 	err := c.rw.Close()
 	<-c.done

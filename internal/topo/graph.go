@@ -15,6 +15,7 @@ package topo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"net/netip"
 	"sync/atomic"
 
@@ -130,7 +131,7 @@ func (n *Node) SetDown(v bool) { n.down.Store(v) }
 //
 // Rate and the down flag are the graph's only mutable state: failure
 // injections change them mid-run on the engine goroutine while emulated
-// controller apps concurrently read the graph (AllShortestPaths,
+// controller apps concurrently read the graph (FirstHops, AllShortestPaths,
 // capacity lookups) from their own goroutines, so both are atomics.
 // Mutate them only through netmodel (SetCableState/SetCableRate) so the
 // fluid solver's cached capacities stay consistent.
@@ -397,7 +398,8 @@ func (g *Graph) Validate() error {
 // Hosts never appear as intermediate nodes: traffic is not switched
 // through end hosts. Dead links and dead nodes (see LinkAlive) are
 // excluded, so after a failure injection the controller apps recompute
-// repairs over the surviving topology.
+// repairs over the surviving topology. Callers that need only each
+// path's first hop use FirstHops, which does not enumerate.
 func (g *Graph) AllShortestPaths(src, dst core.NodeID) [][]core.LinkID {
 	if src == dst {
 		return [][]core.LinkID{{}}
@@ -449,6 +451,88 @@ func (g *Graph) AllShortestPaths(src, dst core.NodeID) [][]core.LinkID {
 	}
 	walk(src, nil)
 	return paths
+}
+
+// FirstHops returns, indexed by NodeID, the sorted egress ports of src
+// that begin a shortest path to each node: the distinct first hops of
+// AllShortestPaths(src, n) for every n, from a single BFS. It applies
+// the same rules — only live links (LinkAlive), and hosts are never
+// expanded except at src — so the two always agree. Unreachable nodes
+// and src itself get no ports.
+//
+// Each node's port set is a bitset over src's ports (bit i is PortID
+// i+1). Sets flow forward in BFS order: a node's set is complete once
+// it is dequeued, because every predecessor one level closer was
+// dequeued before it, and it is ORed into each next-level neighbor
+// across a live link.
+func (g *Graph) FirstHops(src core.NodeID) [][]core.PortID {
+	n := len(g.Nodes)
+	out := make([][]core.PortID, n)
+	s := g.Node(src)
+	if s == nil {
+		return out
+	}
+	words := (len(s.Ports) + 63) / 64
+	sets := make([]uint64, n*words)
+	set := func(id core.NodeID) []uint64 { return sets[int(id)*words : int(id+1)*words] }
+
+	const unseen = -1
+	dist := make([]int32, n)
+	for i := range dist {
+		dist[i] = unseen
+	}
+	dist[src] = 0
+	queue := make([]core.NodeID, 1, n)
+	queue[0] = src
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		if cur != src && g.Nodes[cur].Kind == Host {
+			continue // do not expand through hosts
+		}
+		from := set(cur)
+		ports := g.Nodes[cur].Ports
+		for i := range ports {
+			if !g.LinkAlive(ports[i].Link) {
+				continue
+			}
+			nxt := ports[i].Peer
+			if dist[nxt] == unseen {
+				dist[nxt] = dist[cur] + 1
+				queue = append(queue, nxt)
+			} else if dist[nxt] != dist[cur]+1 {
+				continue
+			}
+			to := set(nxt)
+			if cur == src {
+				to[i/64] |= 1 << (i % 64)
+				continue
+			}
+			for w := range to {
+				to[w] |= from[w]
+			}
+		}
+	}
+
+	// One backing array for every list: the total is the popcount sum.
+	total := 0
+	for _, w := range sets {
+		total += bits.OnesCount64(w)
+	}
+	flat := make([]core.PortID, 0, total)
+	for id := range out {
+		start := len(flat)
+		for w, word := range set(core.NodeID(id)) {
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				flat = append(flat, core.PortID(w*64+b+1))
+				word &= word - 1
+			}
+		}
+		if len(flat) > start {
+			out[id] = flat[start:len(flat):len(flat)]
+		}
+	}
+	return out
 }
 
 // PathDelay sums the per-link propagation delay along a directed-link
