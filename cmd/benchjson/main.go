@@ -30,7 +30,11 @@ import (
 // value-per-unit metrics go test reported (ns/op, B/op, allocs/op and any
 // b.ReportMetric extras).
 type Benchmark struct {
-	Name       string             `json:"name"`
+	Name string `json:"name"`
+	// GOMAXPROCS is the core count the benchmark ran with, taken from
+	// the -N name suffix (no suffix means 1, as go test prints it).
+	// Entries recorded before it was kept carry none.
+	GOMAXPROCS int                `json:"gomaxprocs,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -177,16 +181,18 @@ func parse(r io.Reader) (Entry, error) {
 			continue
 		}
 		name := fields[0]
-		// Strip the -GOMAXPROCS suffix so names are stable across hosts
-		// (only the final -N, which would also bite names ending in a
-		// number like .../flows=100000).
+		// Move the -GOMAXPROCS suffix into its own field so names are
+		// stable across hosts (only the final -N, which would also bite
+		// names ending in a number like .../flows=100000).
+		procs := 1
 		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, procs = name[:i], n
 			}
 		}
 		bm := Benchmark{
 			Name:       name,
+			GOMAXPROCS: procs,
 			Iterations: iters,
 			Metrics:    map[string]float64{},
 		}

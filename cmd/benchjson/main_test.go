@@ -64,6 +64,46 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseKeepsGOMAXPROCS pins that the core count survives the name
+// stripping: the -N suffix becomes the gomaxprocs field, a missing
+// suffix (go test omits it at one core) reads as 1, and a trailing
+// parameter value is left in the name.
+func TestParseKeepsGOMAXPROCS(t *testing.T) {
+	in := `BenchmarkSolveScale/workers=8-2   	 3	 9300000 ns/op
+BenchmarkSolveScale/workers=8-16  	 3	 9800000 ns/op
+BenchmarkSolveScale/flows=100000  	 3	 9700000 ns/op
+`
+	e, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		name  string
+		procs int
+	}{
+		{"BenchmarkSolveScale/workers=8", 2},
+		{"BenchmarkSolveScale/workers=8", 16},
+		{"BenchmarkSolveScale/flows=100000", 1},
+	}
+	if len(e.Benchmarks) != len(want) {
+		t.Fatalf("%d benchmarks, want %d", len(e.Benchmarks), len(want))
+	}
+	for i, w := range want {
+		if got := e.Benchmarks[i]; got.Name != w.name || got.GOMAXPROCS != w.procs {
+			t.Errorf("benchmark %d = %q gomaxprocs %d, want %q gomaxprocs %d", i, got.Name, got.GOMAXPROCS, w.name, w.procs)
+		}
+	}
+
+	// The field is written on new entries and absent from legacy ones.
+	buf, err := json.Marshal([]Benchmark{e.Benchmarks[0], {Name: "legacy"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(buf); !strings.Contains(got, `"gomaxprocs":2`) || strings.Count(got, "gomaxprocs") != 1 {
+		t.Errorf("marshalled = %s, want gomaxprocs on the new entry only", got)
+	}
+}
+
 // TestParseRejectsEmpty pins the error when no result lines appear (the
 // piped `go test` run failed or matched no benchmarks).
 func TestParseRejectsEmpty(t *testing.T) {

@@ -192,6 +192,19 @@ func decodePrefix(b []byte) (netip.Prefix, []byte, error) {
 	return p.Masked(), b[1+n:], nil
 }
 
+// countPrefixes counts the encoded prefixes in b by walking their
+// length octets, so decoding can size its slice once. It only reads
+// the framing: a malformed tail ends the count and decodePrefix
+// reports it.
+func countPrefixes(b []byte) int {
+	n := 0
+	for len(b) > 0 && b[0] <= 32 {
+		n++
+		b = b[min(len(b), 1+(int(b[0])+7)/8):]
+	}
+	return n
+}
+
 // encodeAttrs serializes one path-attribute set (the per-message attrs
 // block both EncodeUpdate and PackUpdates share).
 func encodeAttrs(a PathAttrs) ([]byte, error) {
@@ -434,6 +447,9 @@ func decodeUpdate(body []byte) (*Message, error) {
 	}
 	wd := body[:wlen]
 	body = body[wlen:]
+	if n := countPrefixes(wd); n > 0 {
+		u.Withdrawn = make([]netip.Prefix, 0, n)
+	}
 	for len(wd) > 0 {
 		p, rest, err := decodePrefix(wd)
 		if err != nil {
@@ -537,6 +553,9 @@ func decodeUpdate(body []byte) (*Message, error) {
 			// propagate unknown transitives: Horse's scenarios are
 			// single-implementation).
 		}
+	}
+	if n := countPrefixes(nlri); n > 0 {
+		u.NLRI = make([]netip.Prefix, 0, n)
 	}
 	for len(nlri) > 0 {
 		p, rest, err := decodePrefix(nlri)

@@ -226,3 +226,54 @@ func TestSpeakerPacksFullTableAdvert(t *testing.T) {
 		t.Fatalf("receiver interned %d attribute sets, want 1", got)
 	}
 }
+
+// TestFlushWireOrder pins the wire order of one MRAI flush: the pending
+// withdrawals first, then one UPDATE per attribute group in attribute
+// key order, every prefix list in address-then-length order. The batch
+// is a map, so each round sees a fresh iteration order; only the sort
+// may decide what goes on the wire.
+func TestFlushWireOrder(t *testing.T) {
+	s, err := NewSpeaker(Config{Name: "r1", ASN: 65001, RouterID: addr("1.1.1.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	via := func(asn uint16) *Path {
+		h := s.rib.Intern(PathAttrs{Origin: OriginIGP, ASPath: []uint16{asn}, NextHop: addr("172.16.9.1")})
+		return &Path{Attrs: h, PeerAddr: addr("172.16.9.1")}
+	}
+	via10, via20 := via(65010), via(65020)
+	batch := map[string]*Path{
+		"10.9.0.0/16": nil, "10.0.0.0/24": nil, "10.0.0.0/8": nil,
+		"10.1.0.0/24": via20, "10.0.5.0/24": via20, "10.1.0.0/16": via20,
+		"10.2.0.0/24": via10, "10.2.0.0/23": via10,
+	}
+	want := []string{
+		"withdrawn=[10.0.0.0/8 10.0.0.0/24 10.9.0.0/16] as=[65001 65010] nlri=[10.2.0.0/23 10.2.0.0/24]",
+		"withdrawn=[] as=[65001 65020] nlri=[10.0.5.0/24 10.1.0.0/16 10.1.0.0/24]",
+	}
+	for round := 0; round < 20; round++ {
+		x := &session{
+			sp:      s,
+			cfg:     PeerConfig{LocalAddr: addr("172.16.0.0"), RemoteAddr: addr("172.16.0.1"), RemoteAS: 65002},
+			state:   StateEstablished,
+			out:     make(chan []byte, 8),
+			pending: make(map[netip.Prefix]*Path),
+		}
+		for p, path := range batch {
+			x.pending[pfx(p)] = path
+		}
+		x.flushAdv()
+		close(x.out)
+		var got []string
+		for raw := range x.out {
+			m, err := Decode(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, fmt.Sprintf("withdrawn=%v as=%v nlri=%v", m.Upd.Withdrawn, m.Upd.Attrs.ASPath, m.Upd.NLRI))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d wire order:\n got %q\nwant %q", round, got, want)
+		}
+	}
+}

@@ -1,9 +1,11 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -140,8 +142,15 @@ type Speaker struct {
 	rib      *RIB
 	sessions map[netip.Addr]*session
 	damp     map[dampKey]*dampState
-	closed   bool
-	wg       sync.WaitGroup
+	// closed marks a stopped speaker: its sessions go down quietly
+	// (no Loc-RIB changes, no withdrawals) and it ignores UPDATEs.
+	closed bool
+	wg     sync.WaitGroup
+
+	// Per-UPDATE scratch, reused under mu: the prefixes an UPDATE
+	// touched and the Loc-RIB changes they caused.
+	affected []netip.Prefix
+	changes  []ribChange
 
 	Stats Stats
 }
@@ -164,10 +173,29 @@ type session struct {
 
 	holdTimer *time.Timer
 	kaTimer   *time.Timer
+	// linger force-closes the transport if the writer cannot drain the
+	// queue after close (the peer stopped reading).
+	linger *time.Timer
 
 	// pending advertisement batch: prefix -> path (nil = withdraw).
+	// flushAdv consumes it under sp.mu and clears it in place, so the
+	// map keeps its buckets from one MRAI window to the next.
 	pending  map[netip.Prefix]*Path
 	advTimer *time.Timer
+
+	// flushMu serializes flushes, which reuse the buffers in flush
+	// after releasing sp.mu.
+	flushMu sync.Mutex
+	flush   flushBuf
+}
+
+// flushBuf holds one session's UPDATE-packing buffers, kept across
+// flushes so that a steady stream of MRAI windows stops allocating.
+type flushBuf struct {
+	idx       map[advKey]int
+	withdrawn []netip.Prefix
+	groups    []UpdateGroup
+	keys      []string
 }
 
 // NewSpeaker creates a speaker; call AddPeer to open sessions.
@@ -257,31 +285,42 @@ func (s *Speaker) AddPeer(pc PeerConfig) error {
 	return nil
 }
 
-// Stop closes every session (sending CEASE) and waits for readers.
-func (s *Speaker) Stop() {
-	s.mu.Lock()
-	if s.closed {
+// Stop closes every session (sending CEASE) and waits for readers. The
+// speaker's own Loc-RIB stays as it was; its still-running peers see
+// the sessions end and withdraw what it advertised.
+func (s *Speaker) Stop() { StopAll(s) }
+
+// StopAll stops a group of speakers together — the teardown of a whole
+// emulated network. Every speaker is marked closed before any session
+// closes, so no speaker in the group reacts to the others going away:
+// nobody drops routes, re-runs the decision process, fires OnRoute or
+// floods withdrawals into sessions that are about to close too. Each
+// session still sends CEASE before its transport closes.
+func StopAll(speakers ...*Speaker) {
+	var sessions []*session
+	for _, s := range speakers {
+		s.mu.Lock()
+		if !s.closed {
+			s.closed = true
+			for _, sess := range s.sessions {
+				sessions = append(sessions, sess)
+			}
+		}
 		s.mu.Unlock()
-		s.wg.Wait()
-		return
 	}
-	s.closed = true
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
 	for _, sess := range sessions {
 		sess.sendNotification(Notification{Code: NotifCease})
 		sess.close()
 	}
-	s.wg.Wait()
+	for _, s := range speakers {
+		s.wg.Wait()
+	}
 }
 
 // ResetPeer tears down the session to peer immediately — the
 // interface-down reaction of a routing daemon when the underlying link
-// fails. A CEASE notification is queued (best effort: the transport is
-// usually dying with the link), the session closes, everything learned
+// fails. A CEASE notification goes out ahead of the close (lost if the
+// transport is already dead), the session closes, everything learned
 // from the peer is withdrawn from the Loc-RIB, and withdrawals flood to
 // the remaining sessions. After a ResetPeer the speaker accepts a fresh
 // AddPeer for the same address (link repair re-peers over a new
@@ -350,6 +389,13 @@ func (x *session) send(b []byte) {
 	}
 }
 
+// closeLinger bounds how long a closed session's writer may take to
+// drain its queue before the transport is closed under it.
+const closeLinger = 500 * time.Millisecond
+
+// writeLoop writes queued messages until close, then closes the
+// transport — only after the queue is drained, so a NOTIFICATION queued
+// just before close reaches the peer.
 func (x *session) writeLoop() {
 	for b := range x.out {
 		if _, err := x.cfg.Conn.Write(b); err != nil {
@@ -357,6 +403,8 @@ func (x *session) writeLoop() {
 			continue
 		}
 	}
+	x.linger.Stop()
+	_ = x.cfg.Conn.Close()
 }
 
 func (x *session) sendNotification(n Notification) {
@@ -364,15 +412,17 @@ func (x *session) sendNotification(n Notification) {
 	x.sp.Stats.NotificationsSent.Add(1)
 }
 
+// close ends the session's send side: the writer drains what is queued
+// and then closes the transport, which ends the reader too.
 func (x *session) close() {
 	x.sendMu.Lock()
 	if !x.outClose {
 		x.outClose = true
+		x.linger = time.AfterFunc(closeLinger, func() { _ = x.cfg.Conn.Close() })
 		close(x.out)
 	}
 	ht, kt := x.holdTimer, x.kaTimer
 	x.sendMu.Unlock()
-	_ = x.cfg.Conn.Close()
 	if ht != nil {
 		ht.Stop()
 	}
@@ -453,6 +503,10 @@ func (x *session) handle(m *Message) error {
 	case MsgUpdate:
 		s.Stats.UpdatesRecv.Add(1)
 		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return nil
+		}
 		if x.state != StateEstablished {
 			s.mu.Unlock()
 			x.sendNotification(Notification{Code: NotifFSMError})
@@ -535,7 +589,9 @@ func (x *session) resetHold() {
 	x.sendMu.Unlock()
 }
 
-// down tears the session down and withdraws everything learned from it.
+// down tears the session down and withdraws everything learned from it
+// — unless the speaker itself is stopped, in which case the session
+// just closes and the Loc-RIB is left alone.
 func (x *session) down(cause error) {
 	s := x.sp
 	s.mu.Lock()
@@ -546,17 +602,20 @@ func (x *session) down(cause error) {
 	was := x.state
 	x.state = StateClosed
 	delete(s.sessions, x.cfg.RemoteAddr)
-	affected := s.rib.DropPeer(x.cfg.RemoteAddr)
-	// A session loss withdraws everything learned from the peer; each
-	// of those counts as a flap toward dampening, so a flapping cable
-	// suppresses its neighbor's routes after repeated resets. Parked
-	// announcements die with the session — whether the re-peered
-	// session still advertises them is for it to say.
-	for _, p := range affected {
-		s.dampWithdrawLocked(x.cfg.RemoteAddr, p)
+	if !s.closed {
+		affected := s.rib.DropPeer(x.cfg.RemoteAddr)
+		// A session loss withdraws everything learned from the peer;
+		// each of those counts as a flap toward dampening, so a
+		// flapping cable suppresses its neighbor's routes after
+		// repeated resets. Parked announcements die with the session —
+		// whether the re-peered session still advertises them is for
+		// it to say.
+		for _, p := range affected {
+			s.dampWithdrawLocked(x.cfg.RemoteAddr, p)
+		}
+		s.dampDropPeerLocked(x.cfg.RemoteAddr)
+		s.redecideLocked(affected)
 	}
-	s.dampDropPeerLocked(x.cfg.RemoteAddr)
-	s.redecideLocked(affected)
 	s.mu.Unlock()
 	x.close()
 	if was == StateEstablished {
@@ -623,48 +682,52 @@ type advKey struct {
 // emits O(attr-groups) UPDATEs, not O(prefixes), with PackUpdates
 // splitting at the 4096-byte message limit.
 func (x *session) flushAdv() {
+	x.flushMu.Lock()
+	defer x.flushMu.Unlock()
 	s := x.sp
+	fb := &x.flush
 	s.mu.Lock()
-	if x.state != StateEstablished && x.state != StateOpenConfirm && x.state != StateOpenSent {
-		x.advTimer = nil
+	x.advTimer = nil
+	if s.closed || (x.state != StateEstablished && x.state != StateOpenConfirm && x.state != StateOpenSent) {
 		s.mu.Unlock()
 		return
 	}
-	batch := x.pending
-	x.pending = make(map[netip.Prefix]*Path)
-	x.advTimer = nil
-
-	var withdrawn []netip.Prefix
-	idx := make(map[advKey]int)
-	var groups []UpdateGroup
-	for p, path := range batch {
+	if fb.idx == nil {
+		fb.idx = make(map[advKey]int)
+	}
+	fb.withdrawn = fb.withdrawn[:0]
+	fb.groups = fb.groups[:0]
+	for p, path := range x.pending {
 		if path == nil {
-			withdrawn = append(withdrawn, p)
+			fb.withdrawn = append(fb.withdrawn, p)
 			continue
 		}
 		k := advKey{attrs: path.Attrs, ibgp: path.IBGP}
 		if path.IBGP {
 			k.orig = originatorOf(path)
 		}
-		gi, ok := idx[k]
+		gi, ok := fb.idx[k]
 		if !ok {
-			gi = len(groups)
-			idx[k] = gi
-			groups = append(groups, UpdateGroup{Attrs: x.outgoingAttrs(path)})
+			gi = len(fb.groups)
+			fb.idx[k] = gi
+			fb.addGroup(x.outgoingAttrs(path))
 		}
-		groups[gi].NLRI = append(groups[gi].NLRI, p)
+		fb.groups[gi].NLRI = append(fb.groups[gi].NLRI, p)
 	}
+	clear(x.pending)
 	s.mu.Unlock()
+	clear(fb.idx)
 
-	sortPrefixes(withdrawn)
-	keys := make([]string, len(groups))
+	groups := fb.groups
+	sortPrefixes(fb.withdrawn)
+	fb.keys = fb.keys[:0]
 	for i := range groups {
 		sortPrefixes(groups[i].NLRI)
-		keys[i] = attrsKey(groups[i].Attrs)
+		fb.keys = append(fb.keys, attrsKey(groups[i].Attrs))
 	}
 	// Deterministic message order across groups.
-	sort.Sort(&groupsByKey{keys, groups})
-	msgs, err := PackUpdates(withdrawn, groups)
+	sort.Sort(groupsByKey{fb.keys, groups})
+	msgs, err := PackUpdates(fb.withdrawn, groups)
 	if err != nil {
 		s.logf("flush to %v failed: %v", x.cfg.RemoteAddr, err)
 		return
@@ -675,6 +738,19 @@ func (x *session) flushAdv() {
 	}
 }
 
+// addGroup appends an empty announcement group, reusing the NLRI array
+// a group in that slot held in an earlier flush.
+func (fb *flushBuf) addGroup(attrs PathAttrs) {
+	n := len(fb.groups)
+	if n < cap(fb.groups) {
+		fb.groups = fb.groups[:n+1]
+		fb.groups[n].Attrs = attrs
+		fb.groups[n].NLRI = fb.groups[n].NLRI[:0]
+		return
+	}
+	fb.groups = append(fb.groups, UpdateGroup{Attrs: attrs})
+}
+
 // groupsByKey sorts announcement groups by their serialized attribute
 // key, keeping flush output deterministic.
 type groupsByKey struct {
@@ -682,23 +758,24 @@ type groupsByKey struct {
 	groups []UpdateGroup
 }
 
-func (g *groupsByKey) Len() int           { return len(g.keys) }
-func (g *groupsByKey) Less(i, j int) bool { return g.keys[i] < g.keys[j] }
-func (g *groupsByKey) Swap(i, j int) {
+func (g groupsByKey) Len() int           { return len(g.keys) }
+func (g groupsByKey) Less(i, j int) bool { return g.keys[i] < g.keys[j] }
+func (g groupsByKey) Swap(i, j int) {
 	g.keys[i], g.keys[j] = g.keys[j], g.keys[i]
 	g.groups[i], g.groups[j] = g.groups[j], g.groups[i]
 }
 
-// sortPrefixes orders prefixes by address, then prefix length — the
+// comparePrefixes orders prefixes by address, then prefix length — the
 // same order the RIB trie walks in.
-func sortPrefixes(ps []netip.Prefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		if c := ps[i].Addr().Compare(ps[j].Addr()); c != 0 {
-			return c < 0
-		}
-		return ps[i].Bits() < ps[j].Bits()
-	})
+func comparePrefixes(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Bits(), b.Bits())
 }
+
+// sortPrefixes sorts prefixes into comparePrefixes order.
+func sortPrefixes(ps []netip.Prefix) { slices.SortFunc(ps, comparePrefixes) }
 
 // outgoingAttrs computes the attributes a path is advertised with on
 // this session. eBGP prepends the local AS and strips internal
@@ -765,7 +842,7 @@ func attrsKey(a PathAttrs) string {
 // ---- speaker-side update processing (mu held) ----
 
 func (s *Speaker) processUpdateLocked(x *session, u *Update) {
-	var affected []netip.Prefix
+	affected := s.affected[:0]
 	for _, p := range u.Withdrawn {
 		if s.rib.UpdateAdjIn(x.cfg.RemoteAddr, p, nil) {
 			affected = append(affected, p)
@@ -800,6 +877,7 @@ func (s *Speaker) processUpdateLocked(x *session, u *Update) {
 			}
 		}
 	}
+	s.affected = affected
 	s.redecideLocked(affected)
 }
 
@@ -833,18 +911,11 @@ func (s *Speaker) acceptLocked(x *session, a *PathAttrs, nlri int) bool {
 // emits FIB events for Loc-RIB changes, and propagates new bests to all
 // established sessions. Caller holds s.mu.
 func (s *Speaker) redecideLocked(prefixes []netip.Prefix) {
-	type change struct {
-		prefix netip.Prefix
-		best   []*Path
-	}
-	var changes []change
+	changes := s.changes[:0]
 	for _, p := range prefixes {
 		if best, changed := s.rib.Decide(p); changed {
-			changes = append(changes, change{p, best})
+			changes = append(changes, ribChange{p, best})
 		}
-	}
-	if len(changes) == 0 {
-		return
 	}
 	for _, c := range changes {
 		// FIB install/withdraw.
@@ -862,4 +933,13 @@ func (s *Speaker) redecideLocked(prefixes []netip.Prefix) {
 			}
 		}
 	}
+	// Keep the scratch, but not the best-path sets it points to.
+	clear(changes)
+	s.changes = changes[:0]
+}
+
+// ribChange is one Loc-RIB change found by redecideLocked.
+type ribChange struct {
+	prefix netip.Prefix
+	best   []*Path
 }

@@ -318,6 +318,7 @@ func (m *Manager) WireBGP(cfg BGPConfig) error {
 		return fmt.Errorf("cm: topology has no routers")
 	}
 	m.bgpCfg = cfg
+	speakers := make([]*bgp.Speaker, 0, len(routers))
 	for _, r := range routers {
 		node := r.ID
 		speaker, err := bgp.NewSpeaker(bgp.Config{
@@ -339,9 +340,12 @@ func (m *Manager) WireBGP(cfg BGPConfig) error {
 			return fmt.Errorf("cm: speaker for %s: %w", r.Name, err)
 		}
 		m.speakers[r.ID] = speaker
-		m.procs.Add(emu.ProcFunc{StopFn: speaker.Stop})
+		speakers = append(speakers, speaker)
 		m.installConnectedRoutes(r)
 	}
+	// The speakers stop as one group: tearing the network down must not
+	// make the survivors of each stop withdraw and reconverge.
+	m.procs.Add(emu.ProcFunc{StopFn: func() { bgp.StopAll(speakers...) }})
 	// Peer across every router-router cable (one session per cable,
 	// from the lower-numbered directed link).
 	for _, l := range m.G.Links {

@@ -178,3 +178,33 @@ func TestWireSDNHandshakesAllSwitches(t *testing.T) {
 		t.Fatal("no flow mods crossed the CM")
 	}
 }
+
+// TestStopIsQuietOnConvergedWAN pins group teardown at the Connection
+// Manager: stopping a converged multi-AS WAN closes every BGP session
+// without a single FIB withdrawal.
+func TestStopIsQuietOnConvergedWAN(t *testing.T) {
+	g, err := topo.WANMultiAS(topo.MultiASOpts{
+		WANOpts:           topo.WANOpts{PoPs: 3, Seed: 7},
+		ASes:              3,
+		FullTablePrefixes: 300,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := newEngine()
+	net := netmodel.New(g)
+	m := New(engine, net, nil)
+	defer m.Stop()
+	if err := m.WireBGP(BGPConfig{RouteReflection: true, LinkLatency: true}); err != nil {
+		t.Fatal(err)
+	}
+	engine.Run(20 * core.Second)
+	if m.Stats.RouteInstalls.Load() < 300 {
+		t.Fatalf("route installs = %d, full table not distributed", m.Stats.RouteInstalls.Load())
+	}
+	withdraws := m.Stats.RouteWithdraws.Load()
+	m.Stop()
+	if got := m.Stats.RouteWithdraws.Load(); got != withdraws {
+		t.Fatalf("Stop issued %d route withdrawals", got-withdraws)
+	}
+}
