@@ -52,7 +52,6 @@ func main() {
 		pacing       = flag.Float64("pacing", 1.0, "FTI pacing (1.0 = paper-faithful real time)")
 		skipBaseline = flag.Bool("skip-baseline", false, "run only Horse")
 		seed         = flag.Int64("seed", 42, "traffic permutation seed")
-		naive        = flag.Bool("naive-solver", false, "use the from-scratch rate solver (ablation baseline)")
 		workers      = flag.Int("solver-workers", 0, "rate solver worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 		fail         = flag.Bool("fail", false, "inject an agg-core link failure at dur/3 (repair at 2*dur/3) into every run and report repair latency")
 		pcapDir      = flag.String("pcap", "", "record each Horse run's control plane as pcapng traces under DIR/k<K>-<te>/")
@@ -82,7 +81,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bad k %q: %v\n", ks, err)
 			os.Exit(1)
 		}
-		horseSetup, horseExec, horseRepair := runHorseSuite(k, *dur, *pacing, *seed, *naive, *workers, *fail, *pcapDir)
+		horseSetup, horseExec, horseRepair := runHorseSuite(k, *dur, *pacing, *seed, *workers, *fail, *pcapDir)
 		line := fmt.Sprintf("%-4d %-14v %-14v", k, horseSetup.Round(time.Millisecond), horseExec.Round(time.Millisecond))
 		if *fail {
 			line += fmt.Sprintf(" %-13v", horseRepair.Round(time.Millisecond))
@@ -118,7 +117,7 @@ func main() {
 // runHorseSuite executes the three TE experiments on Horse and returns
 // (topology setup, execution) wall times plus — under -fail — the mean
 // repair latency in virtual time.
-func runHorseSuite(k int, dur time.Duration, pacing float64, seed int64, naive bool, workers int, fail bool, pcapDir string) (setup, exec, repair time.Duration) {
+func runHorseSuite(k int, dur time.Duration, pacing float64, seed int64, workers int, fail bool, pcapDir string) (setup, exec, repair time.Duration) {
 	until := core.FromDuration(dur)
 	failAt, healAt := until/3, 2*until/3
 	var repairs, repaired int
@@ -133,7 +132,6 @@ func runHorseSuite(k int, dur time.Duration, pacing float64, seed int64, naive b
 			Traffic:       fmt.Sprintf("permutation:%d", seed),
 			Dur:           spec.Duration(dur),
 			Pacing:        pacing,
-			NaiveSolver:   naive,
 			SolverWorkers: workers,
 		}
 		if fail {

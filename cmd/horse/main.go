@@ -33,7 +33,6 @@ func main() {
 		pacing      = flag.Float64("pacing", spec.DefaultPacing, "FTI pacing")
 		verbose     = flag.Bool("v", false, "log subsystem activity")
 		tsv         = flag.Bool("tsv", false, "dump aggregate rx series as TSV")
-		naive       = flag.Bool("naive-solver", false, "use the from-scratch rate solver (ablation baseline)")
 		workers     = flag.Int("solver-workers", 0, "rate solver worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 		delayScale  = flag.Float64("delay-scale", 1.0, "scale WAN geographic link delays (0 = zero-latency ablation)")
 		dampening   = flag.Bool("dampening", false, "enable BGP route flap dampening")
@@ -50,7 +49,6 @@ func main() {
 		RateGbps:       *rate,
 		Dur:            spec.Duration(*dur),
 		Pacing:         *pacing,
-		NaiveSolver:    *naive,
 		SolverWorkers:  *workers,
 		DelayScale:     delayScale,
 		Dampening:      *dampening,
@@ -94,9 +92,9 @@ func main() {
 		fmt.Print(res.AggregateRx.TSV())
 	}
 	fmt.Println(res)
-	fmt.Printf("rate solver: %d solves, %d components (largest %d flows), %d parallel, workers=%d (naive=%v)\n",
+	fmt.Printf("rate solver: %d solves, %d components (largest %d flows), %d parallel, workers=%d\n",
 		res.Solves, res.Solver.Components, res.Solver.MaxComponentFlows,
-		res.Solver.ParallelSolves, res.SolverWorkers, *naive)
+		res.Solver.ParallelSolves, res.SolverWorkers)
 	mem := res.Solver.Mem
 	fmt.Printf("solver memory: %d flow slots (%d live, %d free), %d links, arenas %d B paths + %d B members, %d B scratch\n",
 		mem.FlowSlots, mem.LiveFlows, mem.FreeFlows, mem.LinkSlots,

@@ -57,7 +57,6 @@ func main() {
 		pacing   = flag.Float64("pacing", 1.0, "FTI pacing (1.0 = real time)")
 		seed     = flag.Int64("seed", 42, "permutation seed")
 		tsv      = flag.Bool("tsv", false, "print the full time series as TSV")
-		naive    = flag.Bool("naive-solver", false, "use the from-scratch rate solver (ablation baseline)")
 		fail     = flag.Bool("fail", false, "inject an agg-core link failure at dur/3, repair at 2*dur/3")
 		workers  = flag.Int("solver-workers", 0, "rate solver worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 		pcapDir  = flag.String("pcap", "", "record control plane traffic as pcapng traces in DIR")
@@ -82,7 +81,6 @@ func main() {
 		Capacity:      *capacity,
 		Dur:           spec.Duration(*dur),
 		Pacing:        *pacing,
-		NaiveSolver:   *naive,
 		SolverWorkers: *workers,
 		CaptureDir:    *pcapDir,
 	}
@@ -130,9 +128,9 @@ func main() {
 	fmt.Printf("control plane       : %d bytes, %d writes, %d flowmods, %d routes, %d packet-ins, %d stats\n",
 		res.ControlBytes, res.ControlWrites, res.FlowModsApplied,
 		res.RouteInstalls, res.PacketIns, res.StatsQueries)
-	fmt.Printf("rate solver         : %d solves, %d components (largest %d flows), %d parallel, workers=%d (naive=%v)\n",
+	fmt.Printf("rate solver         : %d solves, %d components (largest %d flows), %d parallel, workers=%d\n",
 		res.Solves, res.Solver.Components, res.Solver.MaxComponentFlows,
-		res.Solver.ParallelSolves, res.SolverWorkers, *naive)
+		res.Solver.ParallelSolves, res.SolverWorkers)
 	mem := res.Solver.Mem
 	fmt.Printf("solver memory       : %d flow slots (%d live, %d free), %d links, arenas %d B paths + %d B members, %d B scratch\n",
 		mem.FlowSlots, mem.LiveFlows, mem.FreeFlows, mem.LinkSlots,

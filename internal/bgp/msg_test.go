@@ -3,6 +3,7 @@ package bgp
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -317,4 +318,60 @@ func TestHasASN(t *testing.T) {
 	if !hasASN([]uint16{1, 2, 3}, 2) || hasASN([]uint16{1, 2, 3}, 9) {
 		t.Fatal("hasASN wrong")
 	}
+}
+
+// TestUpdateLongASPathRoundTrip covers AS_PATHs past the one-segment,
+// short-length encoding: 127 ASNs overflow the 255-byte short attribute
+// length and 256 overflow one segment's count byte.
+func TestUpdateLongASPathRoundTrip(t *testing.T) {
+	for _, n := range []int{126, 127, 128, 300} {
+		path := make([]uint16, n)
+		for i := range path {
+			path[i] = uint16(64512 + i)
+		}
+		u := Update{
+			Attrs: PathAttrs{Origin: OriginIGP, ASPath: path, NextHop: netip.MustParseAddr("172.16.0.1")},
+			NLRI:  []netip.Prefix{netip.MustParsePrefix("10.0.1.0/24")},
+		}
+		b, err := EncodeUpdate(u)
+		if err != nil {
+			t.Fatalf("%d ASNs: encode: %v", n, err)
+		}
+		msg, err := Decode(b)
+		if err != nil {
+			t.Fatalf("%d ASNs: decode: %v", n, err)
+		}
+		if !slices.Equal(msg.Upd.Attrs.ASPath, path) || msg.Upd.Attrs.NextHop != u.Attrs.NextHop ||
+			!slices.Equal(msg.Upd.NLRI, u.NLRI) {
+			t.Fatalf("%d ASNs: round trip = %+v", n, msg.Upd)
+		}
+	}
+}
+
+// FuzzDecodeUpdate feeds arbitrary bytes to Decode, which must never
+// panic. Any UPDATE it accepts and that re-encodes must reach a fixed
+// point: encoding the re-decoded message reproduces the encoding byte
+// for byte.
+func FuzzDecodeUpdate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		msg, err := Decode(b)
+		if err != nil || msg.Type != MsgUpdate {
+			return
+		}
+		enc, err := EncodeUpdate(*msg.Upd)
+		if err != nil {
+			return
+		}
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoded UPDATE does not decode: %v\n% x", err, enc)
+		}
+		enc2, err := EncodeUpdate(*again.Upd)
+		if err != nil {
+			t.Fatalf("re-decoded UPDATE does not encode: %v", err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("encoding is not a fixed point:\n% x\n% x", enc, enc2)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 
 	"repro/internal/core"
+	"repro/internal/fib"
 )
 
 // Path is one candidate route for a prefix, as stored in Adj-RIB-In (or
@@ -135,7 +136,7 @@ func originatorOf(p *Path) netip.Addr {
 	return p.PeerRouterID
 }
 
-// ribEntry is the per-prefix route state living at a trie node: the
+// ribEntry is the per-prefix route state a trie node points to: the
 // local origination, the Adj-RIB-In candidates (one per peer, kept
 // sorted by peer address), and the current Loc-RIB selection. The
 // decision process for a prefix touches only its entry — no global
@@ -159,7 +160,11 @@ func (e *ribEntry) known() bool { return e.local != nil || len(e.peers) > 0 }
 // optional ECMP multipath. Attribute sets are interned in a refcounted
 // pool shared by every path the RIB stores.
 type RIB struct {
-	trie *prefixTrie
+	// trie points to each entry rather than holding it inline: path
+	// compression leaves about one entry-less junction per prefix, and
+	// an inline 80-byte entry in each of them cost full-table runs more
+	// memory and traversal time than the pointer saves.
+	trie fib.Trie[*ribEntry]
 	pool *attrPool
 	// Multipath enables ECMP: all paths tying through the comparison
 	// are selected (the "bgp bestpath as-path multipath-relax"
@@ -169,7 +174,7 @@ type RIB struct {
 
 // NewRIB creates an empty RIB.
 func NewRIB(multipath bool) *RIB {
-	return &RIB{trie: newPrefixTrie(), pool: newAttrPool(), Multipath: multipath}
+	return &RIB{pool: newAttrPool(), Multipath: multipath}
 }
 
 // Intern dedupes an attribute set against the RIB's pool. The speaker
@@ -184,7 +189,7 @@ func (r *RIB) AttrSets() int { return r.pool.len() }
 
 // SetLocal originates a prefix locally.
 func (r *RIB) SetLocal(p netip.Prefix, attrs PathAttrs) {
-	e := r.trie.insert(v4key(p))
+	e := r.insert(p)
 	if e.local != nil {
 		releaseAttrs(e.local.Attrs)
 	}
@@ -196,9 +201,8 @@ func (r *RIB) SetLocal(p netip.Prefix, attrs PathAttrs) {
 // UpdateAdjIn records a path learned from peer; a nil path withdraws.
 // It returns whether anything changed.
 func (r *RIB) UpdateAdjIn(peer netip.Addr, prefix netip.Prefix, path *Path) bool {
-	addr, length := v4key(prefix)
 	if path == nil {
-		e := r.trie.lookup(addr, length)
+		e := r.lookup(prefix)
 		if e == nil {
 			return false
 		}
@@ -211,7 +215,7 @@ func (r *RIB) UpdateAdjIn(peer netip.Addr, prefix netip.Prefix, path *Path) bool
 		}
 		return false
 	}
-	e := r.trie.insert(addr, length)
+	e := r.insert(prefix)
 	retainAttrs(path.Attrs)
 	for i, pp := range e.peers {
 		if pp.PeerAddr == peer {
@@ -239,7 +243,8 @@ func (r *RIB) UpdateAdjIn(peer netip.Addr, prefix netip.Prefix, path *Path) bool
 // returning the affected prefixes in sorted order.
 func (r *RIB) DropPeer(peer netip.Addr) []netip.Prefix {
 	var out []netip.Prefix
-	r.trie.walk(func(p netip.Prefix, e *ribEntry) bool {
+	r.trie.Walk(func(p netip.Prefix, ep **ribEntry) bool {
+		e := *ep
 		for i, pp := range e.peers {
 			if pp.PeerAddr == peer {
 				releaseAttrs(pp.Attrs)
@@ -258,8 +263,7 @@ func (r *RIB) DropPeer(peer netip.Addr) []netip.Prefix {
 // returned slice aliases the entry's selection buffer: it is valid until
 // the next Decide of the same prefix.
 func (r *RIB) Decide(prefix netip.Prefix) ([]*Path, bool) {
-	addr, length := v4key(prefix)
-	e := r.trie.lookup(addr, length)
+	e := r.lookup(prefix)
 	if e == nil {
 		return nil, false
 	}
@@ -296,7 +300,7 @@ func (r *RIB) Decide(prefix netip.Prefix) ([]*Path, bool) {
 			e.scratch = sel
 		}
 		if e.selected == nil && !e.known() {
-			r.trie.remove(addr, length)
+			r.trie.Remove(prefix)
 		}
 		return e.selected, false
 	}
@@ -304,9 +308,26 @@ func (r *RIB) Decide(prefix netip.Prefix) ([]*Path, bool) {
 	e.selected = sel
 	if e.selected == nil && !e.known() {
 		// Fully empty entry: prune its node.
-		r.trie.remove(addr, length)
+		r.trie.Remove(prefix)
 	}
 	return e.selected, true
+}
+
+// lookup returns the entry for exactly p, or nil.
+func (r *RIB) lookup(p netip.Prefix) *ribEntry {
+	if e := r.trie.Lookup(p); e != nil {
+		return *e
+	}
+	return nil
+}
+
+// insert finds or creates the entry for p.
+func (r *RIB) insert(p netip.Prefix) *ribEntry {
+	e := r.trie.Insert(p)
+	if *e == nil {
+		*e = &ribEntry{}
+	}
+	return *e
 }
 
 // sortTieBreak orders a (small) selection deterministically by tieBreak
@@ -321,7 +342,7 @@ func sortTieBreak(ps []*Path) {
 
 // Best returns the Loc-RIB selection for prefix.
 func (r *RIB) Best(prefix netip.Prefix) []*Path {
-	e := r.trie.lookup(v4key(prefix))
+	e := r.lookup(prefix)
 	if e == nil {
 		return nil
 	}
@@ -334,21 +355,19 @@ func (r *RIB) Lookup(addr netip.Addr) []*Path {
 	if !addr.Is4() {
 		return nil
 	}
-	a4 := addr.As4()
-	key := uint32(a4[0])<<24 | uint32(a4[1])<<16 | uint32(a4[2])<<8 | uint32(a4[3])
-	e := r.trie.lpm(key, func(e *ribEntry) bool { return len(e.selected) > 0 })
+	_, e := r.trie.LPM(addr, func(e **ribEntry) bool { return len((*e).selected) > 0 })
 	if e == nil {
 		return nil
 	}
-	return e.selected
+	return (*e).selected
 }
 
 // Prefixes returns every prefix present in the Loc-RIB, sorted (the
 // trie walk is ordered; no sort pass needed).
 func (r *RIB) Prefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, r.trie.n)
-	r.trie.walk(func(p netip.Prefix, e *ribEntry) bool {
-		if len(e.selected) > 0 {
+	out := make([]netip.Prefix, 0, r.trie.Len())
+	r.trie.Walk(func(p netip.Prefix, e **ribEntry) bool {
+		if len((*e).selected) > 0 {
 			out = append(out, p)
 		}
 		return true
@@ -359,9 +378,9 @@ func (r *RIB) Prefixes() []netip.Prefix {
 // KnownPrefixes returns every prefix seen in local or any Adj-RIB-In,
 // sorted; the decision process re-evaluates these after session changes.
 func (r *RIB) KnownPrefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, r.trie.n)
-	r.trie.walk(func(p netip.Prefix, e *ribEntry) bool {
-		if e.known() {
+	out := make([]netip.Prefix, 0, r.trie.Len())
+	r.trie.Walk(func(p netip.Prefix, e **ribEntry) bool {
+		if (*e).known() {
 			out = append(out, p)
 		}
 		return true

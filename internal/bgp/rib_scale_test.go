@@ -9,6 +9,25 @@ import (
 	"repro/internal/core"
 )
 
+// randPrefix draws a random masked IPv4 prefix with length 8..32,
+// biased toward the /16../24 range real tables live in.
+func randPrefix(rng *rand.Rand) netip.Prefix {
+	var length int
+	switch rng.Intn(4) {
+	case 0:
+		length = 8 + rng.Intn(8)
+	case 3:
+		length = 25 + rng.Intn(8)
+	default:
+		length = 16 + rng.Intn(9)
+	}
+	addr := netip.AddrFrom4([4]byte{
+		byte(rng.Intn(224)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)),
+	})
+	p, _ := addr.Prefix(length)
+	return p
+}
+
 // ribAPI is the surface shared by the trie RIB and the map-based oracle.
 type ribAPI interface {
 	UpdateAdjIn(peer netip.Addr, prefix netip.Prefix, path *Path) bool
@@ -153,7 +172,7 @@ func TestRIBTrieMatchesMapOracle(t *testing.T) {
 							}
 						}
 						var trieAdj []*Path
-						if e := trie.trie.lookup(v4key(p)); e != nil {
+						if e := trie.lookup(p); e != nil {
 							trieAdj = e.peers
 						}
 						t.Fatalf("Decide(%v) selection diverged:\n trie:   %s\n oracle: %s\n trie adjIn:   %s\n oracle adjIn: %s",

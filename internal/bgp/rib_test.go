@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 
@@ -182,5 +183,65 @@ func TestSessionStateString(t *testing.T) {
 	}
 	if SessionState(42).String() != "state42" {
 		t.Fatal("unknown state string")
+	}
+}
+
+func TestTrieLPMRespectsAcceptFilter(t *testing.T) {
+	r := NewRIB(false)
+	r.UpdateAdjIn(addr("172.16.0.1"), pfx("10.0.0.0/8"), learned("172.16.0.1", "1.1.1.1", 1, 65001))
+	r.UpdateAdjIn(addr("172.16.0.1"), pfx("10.1.0.0/16"), learned("172.16.0.1", "1.1.1.1", 1, 65001))
+	r.Decide(pfx("10.0.0.0/8"))
+	r.Decide(pfx("10.1.0.0/16"))
+	if got := r.Lookup(addr("10.1.2.3")); len(got) != 1 || got[0].Port != 1 {
+		t.Fatalf("Lookup = %v", got)
+	}
+	// Withdraw the /16: LPM falls back to the /8.
+	r.UpdateAdjIn(addr("172.16.0.1"), pfx("10.1.0.0/16"), nil)
+	r.Decide(pfx("10.1.0.0/16"))
+	if got := r.Lookup(addr("10.1.2.3")); len(got) != 1 {
+		t.Fatalf("Lookup after withdraw = %v", got)
+	}
+	if r.Lookup(addr("11.0.0.1")) != nil {
+		t.Fatal("Lookup outside any prefix returned paths")
+	}
+	if r.Lookup(netip.MustParseAddr("::1")) != nil {
+		t.Fatal("IPv6 lookup returned paths")
+	}
+}
+
+func TestRIBInterningSharesAttrSets(t *testing.T) {
+	r := NewRIB(false)
+	peer := addr("172.16.0.1")
+	a := PathAttrs{Origin: OriginIGP, ASPath: []uint16{65001}, NextHop: peer}
+	h := r.Intern(a)
+	if r.Intern(a) != h {
+		t.Fatal("identical attrs interned to different handles")
+	}
+	for i := 0; i < 100; i++ {
+		p := pfx(fmt.Sprintf("10.%d.0.0/24", i))
+		r.UpdateAdjIn(peer, p, &Path{Attrs: h, PeerAddr: peer, PeerRouterID: addr("1.1.1.1"), Port: 1})
+		r.Decide(p)
+	}
+	if got := r.AttrSets(); got != 1 {
+		t.Fatalf("AttrSets = %d after 100 routes sharing attrs, want 1", got)
+	}
+	// Distinct attrs intern separately.
+	b := a
+	b.ASPath = []uint16{65002}
+	if r.Intern(b) == h {
+		t.Fatal("distinct attrs shared a handle")
+	}
+	// Dropping the peer releases every reference; the pool drains to
+	// just the handle Intern created for b (zero refs, still pooled
+	// until evicted) — releasing stored refs must evict a's entry.
+	r.DropPeer(peer)
+	if got := r.AttrSets(); got > 2 {
+		t.Fatalf("AttrSets = %d after drop, want the pool drained", got)
+	}
+	if r.AttrSets() == 2 {
+		// a's entry should be gone: re-interning must mint a new handle.
+		if r.Intern(a) == h {
+			t.Fatal("evicted handle resurrected")
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package fib implements the forwarding information base of simulated
-// routers: an IPv4 longest-prefix-match binary trie whose entries carry
-// ECMP next-hop groups.
+// routers: an IPv4 longest-prefix-match table whose entries carry ECMP
+// next-hop groups, and the path-compressed prefix trie (Trie) that both
+// the table and the BGP RIB are built on.
 //
 // The emulated BGP control plane installs routes here through the
 // Connection Manager, exactly where the original Horse intercepts Quagga's
@@ -8,9 +9,10 @@
 package fib
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -35,25 +37,19 @@ type Route struct {
 	NextHops []NextHop
 }
 
-type node struct {
-	children [2]*node
-	route    *Route // non-nil when a prefix terminates here
-}
-
 // Table is an IPv4 LPM table. It is not safe for concurrent use; in Horse
 // all FIB access happens on the simulation engine goroutine.
 type Table struct {
-	root  node
-	count int
+	// trie holds each prefix's sorted ECMP group; the prefix itself is
+	// the node key, so Route values are assembled on the way out.
+	trie Trie[[]NextHop]
 }
 
 // New returns an empty table.
 func New() *Table { return &Table{} }
 
 // Len reports the number of installed prefixes.
-func (t *Table) Len() int { return t.count }
-
-func bit(v uint32, i int) int { return int(v>>(31-i)) & 1 }
+func (t *Table) Len() int { return t.trie.Len() }
 
 // Insert installs (or replaces) prefix with the given ECMP group. Empty
 // next-hop groups are rejected: use Remove to delete a route.
@@ -65,50 +61,19 @@ func (t *Table) Insert(prefix netip.Prefix, hops []NextHop) error {
 		return fmt.Errorf("fib: empty next-hop group for %v", prefix)
 	}
 	sorted := append([]NextHop(nil), hops...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if c := sorted[i].Via.Compare(sorted[j].Via); c != 0 {
-			return c < 0
+	slices.SortFunc(sorted, func(a, b NextHop) int {
+		if c := a.Via.Compare(b.Via); c != 0 {
+			return c
 		}
-		return sorted[i].Port < sorted[j].Port
+		return cmp.Compare(a.Port, b.Port)
 	})
-	v := core.IPv4ToUint32(prefix.Masked().Addr())
-	cur := &t.root
-	for i := 0; i < prefix.Bits(); i++ {
-		b := bit(v, i)
-		if cur.children[b] == nil {
-			cur.children[b] = &node{}
-		}
-		cur = cur.children[b]
-	}
-	if cur.route == nil {
-		t.count++
-	}
-	cur.route = &Route{Prefix: prefix.Masked(), NextHops: sorted}
+	*t.trie.Insert(prefix) = sorted
 	return nil
 }
 
 // Remove deletes prefix; it reports whether the prefix was present.
-// Interior nodes are left in place (the trie is small and rebuilt per
-// convergence event; pruning is not worth the complexity).
 func (t *Table) Remove(prefix netip.Prefix) bool {
-	if !prefix.Addr().Is4() {
-		return false
-	}
-	v := core.IPv4ToUint32(prefix.Masked().Addr())
-	cur := &t.root
-	for i := 0; i < prefix.Bits(); i++ {
-		b := bit(v, i)
-		if cur.children[b] == nil {
-			return false
-		}
-		cur = cur.children[b]
-	}
-	if cur.route == nil {
-		return false
-	}
-	cur.route = nil
-	t.count--
-	return true
+	return prefix.Addr().Is4() && t.trie.Remove(prefix)
 }
 
 // Lookup returns the longest-prefix-match route for addr.
@@ -116,26 +81,10 @@ func (t *Table) Lookup(addr netip.Addr) (Route, bool) {
 	if !addr.Is4() {
 		return Route{}, false
 	}
-	v := core.IPv4ToUint32(addr)
-	var best *Route
-	cur := &t.root
-	for i := 0; ; i++ {
-		if cur.route != nil {
-			best = cur.route
-		}
-		if i == 32 {
-			break
-		}
-		next := cur.children[bit(v, i)]
-		if next == nil {
-			break
-		}
-		cur = next
+	if p, hops := t.trie.LPM(addr, nil); hops != nil {
+		return Route{Prefix: p, NextHops: *hops}, true
 	}
-	if best == nil {
-		return Route{}, false
-	}
-	return *best, true
+	return Route{}, false
 }
 
 // LookupHash performs an LPM lookup and selects one ECMP member by hash
@@ -156,64 +105,37 @@ func (t *Table) LookupHash(addr netip.Addr, hash uint32) (NextHop, bool) {
 // It reports how many routes were touched.
 func (t *Table) PrunePort(port core.PortID) int {
 	touched := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if r := n.route; r != nil {
-			kept := r.NextHops[:0]
-			for _, nh := range r.NextHops {
-				if nh.Port != port {
-					kept = append(kept, nh)
-				}
-			}
-			if len(kept) != len(r.NextHops) {
-				touched++
-				r.NextHops = kept
-				if len(kept) == 0 {
-					n.route = nil
-					t.count--
-				}
+	var emptied []netip.Prefix
+	t.trie.Walk(func(p netip.Prefix, hops *[]NextHop) bool {
+		kept := slices.DeleteFunc(*hops, func(nh NextHop) bool { return nh.Port == port })
+		if len(kept) != len(*hops) {
+			touched++
+			*hops = kept
+			if len(kept) == 0 {
+				emptied = append(emptied, p)
 			}
 		}
-		walk(n.children[0])
-		walk(n.children[1])
+		return true
+	})
+	for _, p := range emptied {
+		t.trie.Remove(p)
 	}
-	walk(&t.root)
 	return touched
 }
 
 // Routes returns all installed routes sorted by prefix (address, then
 // length): a stable order for tests and dumps.
 func (t *Table) Routes() []Route {
-	var out []Route
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.route != nil {
-			out = append(out, *n.route)
-		}
-		walk(n.children[0])
-		walk(n.children[1])
-	}
-	walk(&t.root)
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Prefix.Addr().Compare(out[j].Prefix.Addr()); c != 0 {
-			return c < 0
-		}
-		return out[i].Prefix.Bits() < out[j].Prefix.Bits()
+	out := make([]Route, 0, t.Len())
+	t.trie.Walk(func(p netip.Prefix, hops *[]NextHop) bool {
+		out = append(out, Route{Prefix: p, NextHops: *hops})
+		return true
 	})
 	return out
 }
 
 // Clear removes every route.
-func (t *Table) Clear() {
-	t.root = node{}
-	t.count = 0
-}
+func (t *Table) Clear() { t.trie = Trie[[]NextHop]{} }
 
 // String renders the table like a routing table dump.
 func (t *Table) String() string {

@@ -285,3 +285,48 @@ func TestPrunePort(t *testing.T) {
 		t.Fatalf("PrunePort(9) touched %d", got)
 	}
 }
+
+// TestTableChurnLeavesNoDeadNodes checks that withdrawals prune the
+// trie: once every route is gone, by Remove or by PrunePort emptying
+// its group, only the root node is left.
+func TestTableChurnLeavesNoDeadNodes(t *testing.T) {
+	tbl := New()
+	rng := rand.New(rand.NewSource(3))
+	var ps []netip.Prefix
+	for i := 0; i < 2000; i++ {
+		p := randPrefix(rng)
+		ps = append(ps, p)
+		must(t, tbl.Insert(p, []NextHop{nh(1, "172.16.0.1")}))
+	}
+	for _, p := range ps {
+		tbl.Remove(p)
+	}
+	if tbl.Len() != 0 || countNodes(&tbl.trie.root) != 1 {
+		t.Fatalf("after Remove: Len %d, %d nodes, want 0 and only the root", tbl.Len(), countNodes(&tbl.trie.root))
+	}
+	for i, p := range ps {
+		hops := []NextHop{nh(1, "172.16.0.1")}
+		if i%3 == 0 {
+			hops = append(hops, nh(2, "172.16.0.3"))
+		}
+		must(t, tbl.Insert(p, hops))
+	}
+	tbl.PrunePort(1)
+	tbl.PrunePort(2)
+	if tbl.Len() != 0 || countNodes(&tbl.trie.root) != 1 {
+		t.Fatalf("after PrunePort: Len %d, %d nodes, want 0 and only the root", tbl.Len(), countNodes(&tbl.trie.root))
+	}
+}
+
+// TestReinstallAllocatesOnlyHops guards the route-install path: replacing
+// the group of an installed prefix allocates the sorted next-hop copy
+// and nothing else.
+func TestReinstallAllocatesOnlyHops(t *testing.T) {
+	tbl := New()
+	p := netip.MustParsePrefix("10.0.1.0/24")
+	hops := []NextHop{nh(2, "172.16.0.3"), nh(1, "172.16.0.1")}
+	must(t, tbl.Insert(p, hops))
+	if allocs := testing.AllocsPerRun(100, func() { _ = tbl.Insert(p, hops) }); allocs != 1 {
+		t.Fatalf("re-install allocates %.1f times, want 1 (the next-hop copy)", allocs)
+	}
+}
